@@ -1,11 +1,16 @@
 //! Criterion benches for the schedulers and the host simulator: the
-//! master's partitioning cost (paper: "scheduling time") and the
-//! discrete-event engine's throughput.
+//! master's partitioning cost (paper: "scheduling time"), the
+//! discrete-event engine's throughput, and the phase-3 modulo
+//! scheduler on the Figure 6 module's loops.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parcc::simspec::{par_spec, seq_spec};
 use parcc::{compile_module_source, fcfs, grouped_lpt, CompileOptions, Experiment};
+use warp_codegen::mdeps::mdep_graph;
+use warp_codegen::vcode::VBlock;
+use warp_codegen::{allocate, plan_pipeline, select, DEFAULT_MAX_II};
 use warp_netsim::simulate;
+use warp_target::config::CellConfig;
 use warp_workload::{synthetic_program, FunctionSize};
 
 fn bench_assignment(c: &mut Criterion) {
@@ -53,10 +58,60 @@ fn bench_end_to_end_experiment(c: &mut Criterion) {
     group.finish();
 }
 
+/// The software-pipelinable loop blocks of the Figure 6 module
+/// (`S_8` of `f_medium`) after register allocation — the input phase 3
+/// hands the modulo scheduler — each with its index in its function.
+fn fig6_loop_blocks() -> Vec<(VBlock, usize)> {
+    let checked = warp_lang::phase1(&synthetic_program(FunctionSize::Medium, 8)).expect("phase1");
+    let mut blocks = Vec::new();
+    for (si, section) in checked.module.sections.iter().enumerate() {
+        for (fi, f) in section.functions.iter().enumerate() {
+            let p2 = warp_ir::phase2::phase2(
+                f,
+                &checked.sections[si].symbol_tables[fi],
+                &checked.sections[si].signatures,
+            )
+            .expect("phase2");
+            let mut vf = select(&p2.ir, &p2.loops.pipelinable_blocks());
+            allocate(&mut vf, &CellConfig::default()).expect("regalloc");
+            for (i, block) in vf.blocks.into_iter().enumerate() {
+                if block.is_pipeline_loop {
+                    blocks.push((block, i));
+                }
+            }
+        }
+    }
+    blocks
+}
+
+fn bench_modulo(c: &mut Criterion) {
+    let blocks = fig6_loop_blocks();
+    let mut group = c.benchmark_group("modulo");
+    group.bench_function("mdep_graph_fig6_loops", |b| {
+        b.iter(|| {
+            blocks
+                .iter()
+                .map(|(block, _)| mdep_graph(block, true).edges.len())
+                .sum::<usize>()
+        })
+    });
+    group.bench_function("plan_pipeline_fig6_loops", |b| {
+        b.iter(|| {
+            blocks
+                .iter()
+                .map(|(block, idx)| plan_pipeline(block, *idx, DEFAULT_MAX_II).result.is_ok())
+                .filter(|&ok| ok)
+                .count()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_assignment,
     bench_simulator,
-    bench_end_to_end_experiment
+    bench_end_to_end_experiment,
+    bench_modulo
 );
 criterion_main!(benches);

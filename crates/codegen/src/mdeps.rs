@@ -29,26 +29,108 @@ pub struct MDep {
     pub delay: u32,
 }
 
+/// Per-op lists of edge indices, threaded through flat arrays: the
+/// list of op `i` starts at `first[i]`, edge `k` is followed by
+/// `next[k]`, and [`EdgeLists::END`] ends a list. Appending keeps the
+/// order edges were found in.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct EdgeLists {
+    first: Vec<u32>,
+    last: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl EdgeLists {
+    const END: u32 = u32::MAX;
+
+    fn new(n: usize) -> EdgeLists {
+        EdgeLists {
+            first: vec![Self::END; n],
+            last: vec![Self::END; n],
+            next: Vec::new(),
+        }
+    }
+
+    /// Appends the graph's next edge to op `i`'s list.
+    fn append(&mut self, i: usize) {
+        let k = self.next.len() as u32;
+        self.next.push(Self::END);
+        match self.last[i] {
+            Self::END => self.first[i] = k,
+            last => self.next[last as usize] = k,
+        }
+        self.last[i] = k;
+    }
+
+    fn iter(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let live = |k: u32| (k != Self::END).then_some(k as usize);
+        std::iter::successors(live(self.first[i]), move |&k| live(self.next[k]))
+    }
+}
+
 /// The dependence graph of one block at machine level.
+///
+/// Besides the edge list the graph keeps, for every op, the indices of
+/// its incoming and outgoing edges in the order they were found, so
+/// walking one op's neighbours costs its degree rather than a scan of
+/// every edge.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MDepGraph {
     /// Number of ops.
     pub n: usize,
-    /// All edges.
+    /// All edges, in the order they were found.
     pub edges: Vec<MDep>,
     /// Work counter: dependence tests performed.
     pub dep_tests: usize,
+    /// The edges into each op.
+    preds: EdgeLists,
+    /// The edges out of each op.
+    succs: EdgeLists,
 }
 
 impl MDepGraph {
-    /// Predecessor edges of op `i`.
-    pub fn preds_of(&self, i: usize) -> impl Iterator<Item = &MDep> {
-        self.edges.iter().filter(move |e| e.to == i)
+    fn new(n: usize) -> MDepGraph {
+        MDepGraph {
+            n,
+            edges: Vec::new(),
+            dep_tests: 0,
+            preds: EdgeLists::new(n),
+            succs: EdgeLists::new(n),
+        }
     }
 
-    /// Successor edges of op `i`.
+    /// Predecessor edges of op `i`, in the order they were found.
+    pub fn preds_of(&self, i: usize) -> impl Iterator<Item = &MDep> {
+        self.preds.iter(i).map(|k| &self.edges[k])
+    }
+
+    /// Successor edges of op `i`, in the order they were found.
     pub fn succs_of(&self, i: usize) -> impl Iterator<Item = &MDep> {
-        self.edges.iter().filter(move |e| e.from == i)
+        self.succs.iter(i).map(|k| &self.edges[k])
+    }
+
+    /// Adds an edge unless it is a distance-0 self edge or an edge with
+    /// the same ends, kind and distance already exists (the first
+    /// delay found wins).
+    fn push(&mut self, from: usize, to: usize, kind: DepKind, distance: u32, delay: u32) {
+        if from == to && distance == 0 {
+            return;
+        }
+        if self
+            .succs_of(from)
+            .any(|e| e.to == to && e.kind == kind && e.distance == distance)
+        {
+            return;
+        }
+        self.edges.push(MDep {
+            from,
+            to,
+            kind,
+            distance,
+            delay,
+        });
+        self.succs.append(from);
+        self.preds.append(to);
     }
 }
 
@@ -61,16 +143,19 @@ fn operand_reg(o: VOperand) -> Option<Reg> {
     }
 }
 
-/// Registers read by `op`. [`Opcode::SelT`] also reads its destination
-/// (the old value survives a false condition).
-fn uses(op: &VOp) -> Vec<Reg> {
-    let mut u: Vec<Reg> = op.operands().filter_map(operand_reg).collect();
-    if op.opcode == Opcode::SelT {
-        if let crate::vcode::VDest::Phys(d) = op.dst {
-            u.push(d);
-        }
-    }
-    u
+/// Registers read by `op`: its register operands in order, then, for
+/// [`Opcode::SelT`], its destination (the old value survives a false
+/// condition).
+fn uses(op: &VOp) -> [Option<Reg>; 3] {
+    let sel_dst = match (op.opcode, op.dst) {
+        (Opcode::SelT, crate::vcode::VDest::Phys(d)) => Some(d),
+        _ => None,
+    };
+    [
+        op.a.and_then(operand_reg),
+        op.b.and_then(operand_reg),
+        sel_dst,
+    ]
 }
 
 /// Register written by `op`.
@@ -191,6 +276,7 @@ struct MAffine {
 
 fn maffine(
     block: &VBlock,
+    defs: &[Option<Reg>],
     pos: usize,
     o: VOperand,
     induction: Option<(Reg, i64)>,
@@ -215,7 +301,7 @@ fn maffine(
         VOperand::Phys(r) => {
             if let Some((ind, _)) = induction {
                 if r == ind {
-                    let updated_before = block.ops[..pos].iter().any(|op| def(op) == Some(r));
+                    let updated_before = defs[..pos].contains(&Some(r));
                     return if updated_before {
                         None
                     } else {
@@ -227,13 +313,13 @@ fn maffine(
                     };
                 }
             }
-            let def_pos = block.ops[..pos].iter().rposition(|op| def(op) == Some(r))?;
+            let def_pos = defs[..pos].iter().rposition(|&d| d == Some(r))?;
             let dop = &block.ops[def_pos];
             match dop.opcode {
-                Opcode::Move => maffine(block, def_pos, dop.a?, induction, depth + 1),
+                Opcode::Move => maffine(block, defs, def_pos, dop.a?, induction, depth + 1),
                 Opcode::IAdd | Opcode::ISub => {
-                    let fa = maffine(block, def_pos, dop.a?, induction, depth + 1)?;
-                    let fb = maffine(block, def_pos, dop.b?, induction, depth + 1)?;
+                    let fa = maffine(block, defs, def_pos, dop.a?, induction, depth + 1)?;
+                    let fb = maffine(block, defs, def_pos, dop.b?, induction, depth + 1)?;
                     if fa.base.is_some() && fb.base.is_some() {
                         return None;
                     }
@@ -256,8 +342,8 @@ fn maffine(
                     })
                 }
                 Opcode::IMul => {
-                    let fa = maffine(block, def_pos, dop.a?, induction, depth + 1)?;
-                    let fb = maffine(block, def_pos, dop.b?, induction, depth + 1)?;
+                    let fa = maffine(block, defs, def_pos, dop.a?, induction, depth + 1)?;
+                    let fb = maffine(block, defs, def_pos, dop.b?, induction, depth + 1)?;
                     if fa.base.is_some() || fb.base.is_some() {
                         return None;
                     }
@@ -338,109 +424,89 @@ fn mem_test(a: Option<MAffine>, b: Option<MAffine>, step: i64, is_loop: bool) ->
 /// Panics if the block still contains virtual registers.
 pub fn mdep_graph(block: &VBlock, is_loop: bool) -> MDepGraph {
     let n = block.ops.len();
-    let mut edges: Vec<MDep> = Vec::new();
-    let mut dep_tests = 0usize;
+    let mut g = MDepGraph::new(n);
     let induction = if is_loop {
         find_induction_phys(block)
     } else {
         None
     };
-
-    let push = |edges: &mut Vec<MDep>,
-                from: usize,
-                to: usize,
-                kind: DepKind,
-                distance: u32,
-                delay: u32| {
-        if from == to && distance == 0 {
-            return;
-        }
-        if !edges
-            .iter()
-            .any(|e| e.from == from && e.to == to && e.kind == kind && e.distance == distance)
-        {
-            edges.push(MDep {
-                from,
-                to,
-                kind,
-                distance,
-                delay,
-            });
-        }
-    };
+    let reads: Vec<[Option<Reg>; 3]> = block.ops.iter().map(uses).collect();
+    let defs: Vec<Option<Reg>> = block.ops.iter().map(def).collect();
 
     // Register dependences.
-    for (j, op_j) in block.ops.iter().enumerate() {
-        for u in uses(op_j) {
-            match block.ops[..j].iter().rposition(|op| def(op) == Some(u)) {
+    for j in 0..n {
+        for u in reads[j].into_iter().flatten() {
+            match defs[..j].iter().rposition(|&d| d == Some(u)) {
                 Some(i) => {
                     let d = delay_for(DepKind::Flow, &block.ops[i]);
-                    push(&mut edges, i, j, DepKind::Flow, 0, d);
+                    g.push(i, j, DepKind::Flow, 0, d);
                 }
                 None => {
                     if is_loop {
                         // The value read comes from the previous
                         // iteration, i.e. the block's *last* def.
-                        if let Some(i) = block.ops.iter().rposition(|op| def(op) == Some(u)) {
+                        if let Some(i) = defs.iter().rposition(|&d| d == Some(u)) {
                             if i >= j {
                                 let d = delay_for(DepKind::Flow, &block.ops[i]);
-                                push(&mut edges, i, j, DepKind::Flow, 1, d);
+                                g.push(i, j, DepKind::Flow, 1, d);
                             }
                         }
                     }
                 }
             }
         }
-        if let Some(d) = def(op_j) {
-            for (i, op_i) in block.ops[..j].iter().enumerate() {
-                if uses(op_i).contains(&d) {
-                    push(&mut edges, i, j, DepKind::Anti, 0, 0);
+        if let Some(d) = defs[j] {
+            for i in 0..j {
+                if reads[i].contains(&Some(d)) {
+                    g.push(i, j, DepKind::Anti, 0, 0);
                 }
-                if def(op_i) == Some(d) {
-                    push(&mut edges, i, j, DepKind::Output, 0, 1);
+                if defs[i] == Some(d) {
+                    g.push(i, j, DepKind::Output, 0, 1);
                 }
             }
             if is_loop {
                 // Loop-carried anti: uses later in the block read this
                 // iteration's value before next iteration's write.
-                for (rel, op_i) in block.ops[j..].iter().enumerate() {
-                    if rel > 0 && uses(op_i).contains(&d) {
-                        push(&mut edges, j + rel, j, DepKind::Anti, 1, 0);
+                for (i, r) in reads.iter().enumerate().skip(j + 1) {
+                    if r.contains(&Some(d)) {
+                        g.push(i, j, DepKind::Anti, 1, 0);
                     }
                 }
                 // Loop-carried outputs: to itself, and from any later
                 // writer of the same register back to this one (keeps
                 // instances from colliding in the same kernel cycle).
-                push(&mut edges, j, j, DepKind::Output, 1, 1);
-                for (rel, op_i) in block.ops[j..].iter().enumerate() {
-                    if rel > 0 && def(op_i) == Some(d) {
-                        push(&mut edges, j + rel, j, DepKind::Output, 1, 1);
+                g.push(j, j, DepKind::Output, 1, 1);
+                for (i, &di) in defs.iter().enumerate().skip(j + 1) {
+                    if di == Some(d) {
+                        g.push(i, j, DepKind::Output, 1, 1);
                     }
                 }
             }
         }
     }
 
-    // Memory dependences.
-    let accesses: Vec<(usize, VOperand, bool)> = block
+    // Memory dependences: each access with its address, recognized once.
+    let accesses: Vec<(usize, Option<MAffine>, bool)> = block
         .ops
         .iter()
         .enumerate()
-        .filter_map(|(i, op)| match op.opcode {
-            Opcode::Load => Some((i, op.a.expect("load address"), false)),
-            Opcode::Store => Some((i, op.a.expect("store address"), true)),
-            _ => None,
+        .filter_map(|(i, op)| {
+            let write = match op.opcode {
+                Opcode::Load => false,
+                Opcode::Store => true,
+                _ => return None,
+            };
+            let addr = op.a.expect("memory op address");
+            Some((i, maffine(block, &defs, i, addr, induction, 0), write))
         })
         .collect();
-    for (x, &(i, addr_i, wr_i)) in accesses.iter().enumerate() {
-        for &(j, addr_j, wr_j) in accesses.iter().skip(x + 1) {
+    let step = induction.map(|(_, s)| s).unwrap_or(1);
+    for (x, &(i, fa, wr_i)) in accesses.iter().enumerate() {
+        for &(j, fb, wr_j) in accesses.iter().skip(x + 1) {
             if !wr_i && !wr_j {
                 continue;
             }
-            dep_tests += 1;
-            let fa = maffine(block, i, addr_i, induction, 0);
-            let fb = maffine(block, j, addr_j, induction, 0);
-            let step = induction.map(|(_, s)| s).unwrap_or(1);
+            g.dep_tests += 1;
             let kind = match (wr_i, wr_j) {
                 (true, false) => DepKind::Flow,
                 (false, true) => DepKind::Anti,
@@ -457,21 +523,21 @@ pub fn mdep_graph(block: &VBlock, is_loop: bool) -> MDepGraph {
                         if let MemDep::Distance(d) = mem_test(fb, fa, step, true) {
                             if d > 0 {
                                 let delay = delay_for(rkind, &block.ops[j]);
-                                push(&mut edges, j, i, rkind, d, delay);
+                                g.push(j, i, rkind, d, delay);
                             }
                         }
                     }
                 }
                 MemDep::Distance(d) => {
                     let delay = delay_for(kind, &block.ops[i]);
-                    push(&mut edges, i, j, kind, d, delay);
+                    g.push(i, j, kind, d, delay);
                 }
                 MemDep::Unknown => {
                     let delay = delay_for(kind, &block.ops[i]);
-                    push(&mut edges, i, j, kind, 0, delay);
+                    g.push(i, j, kind, 0, delay);
                     if is_loop {
                         let delay = delay_for(rkind, &block.ops[j]);
-                        push(&mut edges, j, i, rkind, 1, delay);
+                        g.push(j, i, rkind, 1, delay);
                     }
                 }
             }
@@ -493,19 +559,15 @@ pub fn mdep_graph(block: &VBlock, is_loop: bool) -> MDepGraph {
                 _ => false,
             };
             if ordered {
-                push(&mut edges, i, j, DepKind::Order, 0, 1);
+                g.push(i, j, DepKind::Order, 0, 1);
                 if is_loop {
-                    push(&mut edges, j, i, DepKind::Order, 1, 1);
+                    g.push(j, i, DepKind::Order, 1, 1);
                 }
             }
         }
     }
 
-    MDepGraph {
-        n,
-        edges,
-        dep_tests,
-    }
+    g
 }
 
 #[cfg(test)]
@@ -682,6 +744,47 @@ mod tests {
             "{:?}",
             g.edges
         );
+    }
+
+    /// Every block of the Figure 6 module (`S_8` of `f_medium`) after
+    /// register allocation.
+    fn fig6_blocks() -> Vec<VBlock> {
+        use warp_workload::{synthetic_program, FunctionSize};
+        let checked = warp_lang::phase1(&synthetic_program(FunctionSize::Medium, 8)).unwrap();
+        let mut blocks = Vec::new();
+        for (si, section) in checked.module.sections.iter().enumerate() {
+            for (fi, f) in section.functions.iter().enumerate() {
+                let r = warp_ir::phase2::phase2(
+                    f,
+                    &checked.sections[si].symbol_tables[fi],
+                    &checked.sections[si].signatures,
+                )
+                .unwrap();
+                let mut vf = crate::select::select(&r.ir, &r.loops.pipelinable_blocks());
+                crate::regalloc::allocate(&mut vf, &Default::default()).unwrap();
+                blocks.extend(vf.blocks);
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn adjacency_matches_edge_scan_on_fig6() {
+        let blocks = fig6_blocks();
+        assert!(blocks.iter().any(|b| b.is_pipeline_loop));
+        for block in &blocks {
+            for is_loop in [false, block.is_pipeline_loop] {
+                let g = mdep_graph(block, is_loop);
+                for i in 0..g.n {
+                    let preds: Vec<&MDep> = g.preds_of(i).collect();
+                    let scan: Vec<&MDep> = g.edges.iter().filter(|e| e.to == i).collect();
+                    assert_eq!(preds, scan, "preds of op {i}");
+                    let succs: Vec<&MDep> = g.succs_of(i).collect();
+                    let scan: Vec<&MDep> = g.edges.iter().filter(|e| e.from == i).collect();
+                    assert_eq!(succs, scan, "succs of op {i}");
+                }
+            }
+        }
     }
 
     #[test]

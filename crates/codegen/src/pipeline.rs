@@ -13,6 +13,20 @@
 //!    epilogue, plus counter-based loop control on reserved scratch
 //!    registers.
 //!
+//! Each attempt places the ops once, in an order fixed for the loop
+//! (critical-path height, computed once), at the earliest free slot
+//! of the window that the already-placed neighbours allow; there is no
+//! backtracking. The dependence graph is indexed by op, so an attempt
+//! reads only each op's own edges, and the reservation table is a pair
+//! of flat arrays reused from one II to the next.
+//!
+//! The search deliberately starts at the resource bound, not at
+//! max(ResMII, RecMII): the IIs below the recurrence bound always fail,
+//! but their probes are part of `modulo_attempts`, which weighs most in
+//! the phase-3 work units that drive the 1989 cost model. Skipping them
+//! would leave the emitted code as it is but move the reproduced
+//! figures.
+//!
 //! Because register allocation ran first, register-reuse anti
 //! dependences automatically bound every value's lifetime by II — no
 //! modulo variable expansion or rotating register file is needed; the
@@ -25,6 +39,7 @@
 //! (paper §1).
 
 use crate::mdeps::{find_induction_phys, mdep_graph, MDepGraph};
+use crate::sched::heights;
 use crate::vcode::{VBlock, VDest, VOp, VOperand, VTerm};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -212,22 +227,33 @@ fn res_mii(block: &VBlock) -> u32 {
     mii
 }
 
-/// Modulo reservation table.
-#[derive(Debug, Clone)]
+/// Modulo reservation table: unit occupancy and register write ports
+/// per kernel slot, as flat tables reused across candidate IIs.
+#[derive(Debug, Default)]
 struct Mrt {
     ii: u32,
-    busy: Vec<Vec<bool>>, // [fu slot_index][kernel slot]
-    /// Register write-port usage: (reg, kernel slot) pairs taken.
-    writes: HashMap<(Reg, u32), usize>,
+    /// `busy[fu.slot_index() * ii + slot]`: the unit is taken.
+    busy: Vec<bool>,
+    /// `writes[reg * ii + slot]`: the op writing `reg` in that slot,
+    /// or [`Mrt::FREE`].
+    writes: Vec<u32>,
 }
 
 impl Mrt {
-    fn new(ii: u32) -> Self {
-        Mrt {
-            ii,
-            busy: vec![vec![false; ii as usize]; 7],
-            writes: HashMap::new(),
-        }
+    const FREE: u32 = u32::MAX;
+
+    /// Empties the table for a new `ii`, with write-port rows for
+    /// registers `0..regs`.
+    fn reset(&mut self, ii: u32, regs: usize) {
+        self.ii = ii;
+        self.busy.clear();
+        self.busy.resize(FuKind::ALL.len() * ii as usize, false);
+        self.writes.clear();
+        self.writes.resize(regs * ii as usize, Self::FREE);
+    }
+
+    fn is_busy(&self, fu: FuKind, slot: u32) -> bool {
+        self.busy[fu.slot_index() * self.ii as usize + slot as usize]
     }
 
     fn fits(&self, fu: FuKind, time: u32, occ: u32, dst: Option<Reg>, op_idx: usize) -> bool {
@@ -235,30 +261,32 @@ impl Mrt {
             return false; // iterative op longer than the whole kernel
         }
         for k in 0..occ {
-            let slot = ((time + k) % self.ii) as usize;
-            if self.busy[fu.slot_index()][slot] {
+            if self.is_busy(fu, (time + k) % self.ii) {
                 return false;
             }
         }
         if let Some(d) = dst {
-            let slot = time % self.ii;
-            if let Some(&owner) = self.writes.get(&(d, slot)) {
-                if owner != op_idx {
-                    return false;
-                }
+            let owner = self.writes[self.write_index(d, time)];
+            if owner != Self::FREE && owner as usize != op_idx {
+                return false;
             }
         }
         true
     }
 
     fn reserve(&mut self, fu: FuKind, time: u32, occ: u32, dst: Option<Reg>, op_idx: usize) {
+        let row = fu.slot_index() * self.ii as usize;
         for k in 0..occ {
-            let slot = ((time + k) % self.ii) as usize;
-            self.busy[fu.slot_index()][slot] = true;
+            self.busy[row + ((time + k) % self.ii) as usize] = true;
         }
         if let Some(d) = dst {
-            self.writes.insert((d, time % self.ii), op_idx);
+            let w = self.write_index(d, time);
+            self.writes[w] = op_idx as u32;
         }
+    }
+
+    fn write_index(&self, reg: Reg, time: u32) -> usize {
+        reg.0 as usize * self.ii as usize + (time % self.ii) as usize
     }
 }
 
@@ -269,33 +297,39 @@ fn op_dst(op: &VOp) -> Option<Reg> {
     }
 }
 
-/// Attempts a modulo schedule at a fixed `ii`. Returns placements and
-/// adds probes to `attempts`.
+/// Working state of [`try_ii`], kept across candidate IIs so each
+/// attempt reuses the buffers of the previous one.
+#[derive(Debug, Default)]
+struct ModState {
+    time: Vec<Option<u32>>,
+    mrt: Mrt,
+    placements: Vec<ModPlacement>,
+}
+
+/// Attempts a modulo schedule at a fixed `ii`, placing ops in `order`.
+/// On success `state` holds the placements (sorted by time and unit)
+/// and the reservation table. Adds probes to `attempts`.
 fn try_ii(
     block: &VBlock,
     graph: &MDepGraph,
+    order: &[usize],
+    regs: usize,
     ii: u32,
+    state: &mut ModState,
     attempts: &mut usize,
-) -> Option<(Vec<ModPlacement>, Mrt)> {
+) -> bool {
     let n = block.ops.len();
-    // Priority: height over distance-0 edges.
-    let mut height = vec![0u32; n];
-    for i in (0..n).rev() {
-        let lat = block.ops[i].opcode.timing().latency;
-        let mut best = lat;
-        for e in graph.succs_of(i).filter(|e| e.distance == 0) {
-            best = best.max(e.delay + height[e.to]);
-        }
-        height[i] = best;
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
+    let ModState {
+        time,
+        mrt,
+        placements,
+    } = state;
+    time.clear();
+    time.resize(n, None);
+    mrt.reset(ii, regs);
+    placements.clear();
 
-    let mut time: Vec<Option<u32>> = vec![None; n];
-    let mut mrt = Mrt::new(ii);
-    let mut placements = Vec::with_capacity(n);
-
-    for &i in &order {
+    for &i in order {
         // Earliest start from placed predecessors.
         let mut est: i64 = 0;
         for e in graph.preds_of(i) {
@@ -312,7 +346,7 @@ fn try_ii(
         }
         let est = est.max(0);
         if lst < est {
-            return None;
+            return false;
         }
         let window_hi = lst.min(est + ii as i64 - 1);
         let timing = block.ops[i].opcode.timing();
@@ -340,7 +374,7 @@ fn try_ii(
             t += 1;
         }
         if !placed {
-            return None;
+            return false;
         }
     }
 
@@ -350,11 +384,11 @@ fn try_ii(
         let tf = time[e.from].unwrap() as i64;
         let tt = time[e.to].unwrap() as i64;
         if tt < tf + e.delay as i64 - (ii as i64) * e.distance as i64 {
-            return None;
+            return false;
         }
     }
     placements.sort_by_key(|p| (p.time, p.fu.slot_index()));
-    Some((placements, mrt))
+    true
 }
 
 /// Plans software pipelining for `block`, whose index in its function
@@ -389,16 +423,32 @@ fn plan_inner(
     };
 
     let mii = res_mii(block);
+    // The placement order is the same at every II: critical-path
+    // height over distance-0 edges, ties in program order.
+    let height = heights(block, graph);
+    let mut order: Vec<usize> = (0..block.ops.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
+    // The reservation table keeps write-port rows up to the highest
+    // register the loop writes.
+    let regs = block
+        .ops
+        .iter()
+        .filter_map(op_dst)
+        .map(|r| r.0 as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut state = ModState::default();
     let mut attempts = 0usize;
     for ii in mii..=max_ii {
         let iis_tried = ii - mii + 1;
-        let Some((placements, mrt)) = try_ii(block, graph, ii, &mut attempts) else {
+        if !try_ii(block, graph, &order, regs, ii, &mut state, &mut attempts) {
             continue;
-        };
+        }
+        let placements = &state.placements;
         let max_t = placements.iter().map(|p| p.time).max().unwrap_or(0);
         let stages = max_t / ii + 1;
         // Find a home for the counter decrement.
-        let counter = find_counter_slot(&mrt, ii);
+        let counter = find_counter_slot(&state.mrt, ii);
         let Some(counter) = counter else { continue };
         let drain = block
             .ops
@@ -412,7 +462,7 @@ fn plan_inner(
         return Ok(LoopPlan {
             ii,
             stages,
-            placements,
+            placements: state.placements,
             induction,
             step,
             limit,
@@ -430,15 +480,14 @@ fn find_counter_slot(mrt: &Mrt, ii: u32) -> Option<CounterStrategy> {
     // Prefer an earlier word so the branch reads the fresh value.
     for slot in 0..ii.saturating_sub(1) {
         for fu in [FuKind::Alu, FuKind::Agu] {
-            if !mrt.busy[fu.slot_index()][slot as usize] {
+            if !mrt.is_busy(fu, slot) {
                 return Some(CounterStrategy::EarlierWord { slot, fu });
             }
         }
     }
     // Same word as the branch.
-    let last = (ii - 1) as usize;
     for fu in [FuKind::Alu, FuKind::Agu] {
-        if !mrt.busy[fu.slot_index()][last] {
+        if !mrt.is_busy(fu, ii - 1) {
             return Some(CounterStrategy::SameWord { fu });
         }
     }

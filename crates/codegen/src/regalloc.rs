@@ -221,8 +221,13 @@ fn intervals(vf: &VFunc) -> Vec<Interval> {
 /// Rewrites every occurrence of spilled vregs with fresh short-lived
 /// vregs plus loads/stores. Returns ops inserted.
 fn spill(vf: &mut VFunc, victims: &HashSet<VirtReg>) -> usize {
+    // Hand out slots in vreg order: iterating the set directly would
+    // make the slot addresses, and so the module bytes, follow the
+    // hash seed.
+    let mut ordered: Vec<VirtReg> = victims.iter().copied().collect();
+    ordered.sort_unstable();
     let mut slots: HashMap<VirtReg, u32> = HashMap::new();
-    for &v in victims {
+    for v in ordered {
         slots.insert(v, vf.new_data_word());
     }
     let mut inserted = 0usize;

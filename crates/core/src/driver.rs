@@ -18,7 +18,7 @@ use warp_codegen::link::{
 use warp_codegen::phase3::{phase3_traced, Phase3Work};
 use warp_ir::phase2::{phase2_traced, Phase2Error, Phase2Work};
 use warp_ir::FactSet;
-use warp_lang::{CheckedModule, ParseWork, Phase1Error};
+use warp_lang::{CheckedModule, Phase1Error};
 use warp_obs::{Trace, TrackId};
 use warp_target::program::{FunctionImage, ModuleImage};
 use warp_target::CellConfig;
@@ -234,9 +234,13 @@ impl CompileResult {
     }
 }
 
-/// Converts phase-1 parse counters to abstract work units.
-fn parse_units_of(work: &ParseWork) -> u64 {
-    work.tokens as u64 * 2 + work.statements as u64 * 3 + work.source_bytes as u64 / 8
+/// Phase-1 work units of `source`, from the token count of its one lex
+/// and the module already parsed and checked. These are the counters
+/// [`warp_lang::ParseWork::measure`] gives, without lexing and parsing
+/// a second time.
+fn phase1_units_of(source: &str, tokens: usize, checked: &CheckedModule) -> u64 {
+    let statements = warp_lang::statement_count(&checked.module);
+    tokens as u64 * 2 + statements as u64 * 3 + source.len() as u64 / 8
 }
 
 /// Runs phase 1 on a module source (the master's sequential step).
@@ -262,11 +266,13 @@ pub fn run_phase1_traced(
     trace: &Trace,
     track: TrackId,
 ) -> Result<(CheckedModule, u64, usize), CompileError> {
-    let parsed = {
+    let (parsed, token_count) = {
         let mut span = trace.span("driver", "parse", track);
-        let parsed = warp_lang::parser::parse(source);
+        let lexed = warp_lang::lexer::lex(source);
+        let token_count = lexed.tokens.len();
+        let parsed = warp_lang::parser::parse_lexed(lexed);
         span.arg("bytes", source.len() as f64);
-        parsed
+        (parsed, token_count)
     };
     let mut diagnostics = parsed.diagnostics;
     let (checked, sema_diags) = {
@@ -281,7 +287,7 @@ pub fn run_phase1_traced(
             rendered,
         }));
     }
-    let units = parse_units_of(&ParseWork::measure(source));
+    let units = phase1_units_of(source, token_count, &checked);
     Ok((checked, units, diagnostics.warning_count()))
 }
 
@@ -414,14 +420,7 @@ pub fn run_phase1_parallel_traced(
         // are exactly the sequential compiler's.
         return run_phase1_traced(source, trace, track);
     }
-    // Same numbers `ParseWork::measure` would produce, without the
-    // re-lex/re-parse it performs.
-    let work = ParseWork {
-        tokens: token_count,
-        statements: warp_lang::statement_count(&checked.module),
-        source_bytes: source.len(),
-    };
-    let units = parse_units_of(&work);
+    let units = phase1_units_of(source, token_count, &checked);
     Ok((checked, units, diagnostics.warning_count()))
 }
 

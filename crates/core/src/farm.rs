@@ -164,6 +164,10 @@ pub struct FarmReport {
     /// OS pids of every worker spawned (tests use these to prove no
     /// process outlives the build).
     pub worker_pids: Vec<u32>,
+    /// The run's scratch directory (socket and private cache). It is
+    /// removed before the build returns; tests use the path to prove
+    /// that.
+    pub scratch_dir: PathBuf,
     /// Jobs resolved from the shared cache before dispatch.
     pub cache_hits: usize,
     /// Results that travelled as a content hash (object read from the
@@ -723,6 +727,7 @@ pub fn compile_farm_traced(
         workers_spawned: 0,
         workers_lost: 0,
         worker_pids: Vec::new(),
+        scratch_dir: dir.0.clone(),
         cache_hits,
         hash_shipped: 0,
         bytes_shipped: 0,

@@ -26,12 +26,17 @@ mod tempfile_path {
         }
     }
 
+    /// Writes `contents` to a fresh file. The name is unique per
+    /// process and per call, so tests running at the same time never
+    /// share (or delete) each other's input.
     pub fn write(contents: &str) -> TempPath {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
         let mut p = std::env::temp_dir();
         p.push(format!(
             "warpcc-test-{}-{}.w2",
             std::process::id(),
-            contents.len()
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&p, contents).expect("write temp program");
         TempPath(p)

@@ -140,7 +140,7 @@ impl ParseWork {
     pub fn measure(source: &str) -> ParseWork {
         let lexed = lexer::lex(source);
         let tokens = lexed.tokens.len();
-        let parsed = parser::parse(source);
+        let parsed = parser::parse_lexed(lexed);
         ParseWork {
             tokens,
             statements: statement_count(&parsed.module),

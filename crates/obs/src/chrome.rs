@@ -180,6 +180,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -187,6 +188,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
         Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         }
@@ -328,13 +330,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf8"))?;
-                    let c = s
-                        .chars()
-                        .next()
+                    // Consume one UTF-8 scalar. The parser only ever
+                    // steps over whole chars, so `pos` is a char
+                    // boundary of the already-valid input.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
                         .ok_or_else(|| self.err("unterminated string"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
@@ -486,6 +488,26 @@ mod tests {
         assert!(
             validate_chrome_json("{\"traceEvents\":[{\"ph\":\"X\",\"pid\":1,\"tid\":0}]}").is_err()
         );
+    }
+
+    #[test]
+    fn validator_handles_multi_megabyte_traces() {
+        // Long non-ASCII names put most of the input inside strings,
+        // the path that once re-validated the rest of the input for
+        // every character.
+        let t = Trace::new(ClockDomain::Virtual);
+        let track = t.track("worker ƒ");
+        let spans = 12_000;
+        for i in 0..spans {
+            let name = format!("function ƒ_{i} — λ-lifted body {}", "·".repeat(40));
+            t.record_span("worker", name, track, i * 10, 5, vec![("units", i as f64)]);
+        }
+        let json = to_chrome_json(&t.snapshot());
+        assert!(json.len() >= 2 << 20, "trace is {} bytes", json.len());
+        let stats = validate_chrome_json(&json).expect("valid");
+        assert_eq!(stats.spans, spans as usize);
+        assert_eq!(stats.instants + stats.counters, 0);
+        assert_eq!(stats.metadata, 1, "one track name");
     }
 
     #[test]
